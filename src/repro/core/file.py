@@ -30,22 +30,28 @@ from repro.core.vectored import (
 )
 from repro.errors import (
     FileNotFound,
+    HttpError,
     HttpParseError,
     PermissionDenied,
     RequestError,
 )
 from repro.http import (
     Headers,
+    RangePart,
     RangeSpec,
     Request,
     Response,
     Url,
-    decode_byteranges,
+    decode_range_response,
     format_range_header,
+    merge_spans,
 )
 from repro.http.headers import parse_cache_control
-from repro.http.multipart import MultipartStream, content_type_boundary
-from repro.http.ranges import parse_content_range
+from repro.http.multipart import (
+    MultipartStream,
+    content_type_boundary,
+    is_byteranges,
+)
 from repro.metalink import METALINK_MEDIA_TYPE, Metalink, parse_metalink
 
 __all__ = ["FileStat", "DavFile"]
@@ -59,41 +65,6 @@ class FileStat:
     mtime: Optional[float]
     is_directory: bool
     etag: Optional[str] = None
-
-
-def _merge_spans(spans: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Sort and merge overlapping/adjacent ``(offset, length)`` spans."""
-    merged: List[Tuple[int, int]] = []
-    for offset, length in sorted(spans):
-        if merged and offset <= merged[-1][0] + merged[-1][1]:
-            end = max(merged[-1][0] + merged[-1][1], offset + length)
-            merged[-1] = (merged[-1][0], end - merged[-1][0])
-        else:
-            merged.append((offset, length))
-    return merged
-
-
-def _content_range_total(response: Response) -> Optional[int]:
-    """The object size a ``Content-Range`` header reveals, if any.
-
-    Handles both the satisfied form (``bytes a-b/N``) and the 416
-    unsatisfied form (``bytes */N``), which is how a past-EOF probe
-    still teaches the cache the object's length.
-    """
-    value = response.headers.get("Content-Range")
-    if value is None:
-        return None
-    value = value.strip()
-    if value.lower().startswith("bytes */"):
-        try:
-            return int(value[len("bytes */"):].strip())
-        except ValueError:
-            return None
-    try:
-        _offset, _length, total = parse_content_range(value)
-    except HttpParseError:
-        return None
-    return total
 
 
 def _cache_ttl(response: Response) -> Optional[float]:
@@ -328,23 +299,165 @@ class DavFile:
         spans). With the transfer engine armed the read is then
         offered to the speculative window (a plan hit costs no round
         trip); a miss falls through to the demanded single-range
-        request.
+        request. A read past EOF returns ``b""``.
         """
         if length == 0:
             return b""
-        offset, length = int(offset), int(length)
-        if self._pagecache is not None and not self._pagecache.suppressed(
-            self._cache_key
-        ):
-            data = yield from self._pread_cached(offset, length)
-            return data
-        if self._engine is not None:
-            hit = yield from self._engine.read_single(offset, length)
-            if hit is not None:
-                self._charge_delivery(0, len(hit))
-                return hit
-        data = yield from self._pread_demand(offset, length)
-        return data
+        pieces = yield from self._read(
+            [(int(offset), int(length))],
+            self._single_from_engine,
+            self._single_on_demand,
+        )
+        return pieces[0]
+
+    def _single_from_engine(self, reads):
+        """``pread``'s engine step: the window's answer for one read."""
+        hit = yield from self._engine.read_single(*reads[0])
+        return [hit]
+
+    def _single_on_demand(self, reads):
+        """``pread``'s demand step: one single-range GET."""
+        parts = yield from self._fetch_batch(reads)
+        data = bytes(parts.find(*reads[0]))
+        self._charge_delivery(0, len(data))
+        return [data]
+
+    def pread_vec(self, reads: Sequence[Tuple[int, int]]):
+        """Effect sub-op: vectored read -> list of bytes, input order.
+
+        This is the paper's flagship feature: the reads are coalesced
+        and packed into at most ``ceil(n_ranges/max_vector_ranges)``
+        multi-range requests, each answered by one
+        ``multipart/byteranges`` response. With
+        ``transfer.max_inflight > 1`` the batches dispatch
+        concurrently, each on its own pooled session with its own
+        retry/deadline/breaker envelope; partial responses refetch only
+        their ``missing_ranges``. With the transfer engine armed
+        (``transfer.read_ahead`` / :meth:`prefetch`) the reads route
+        through the speculative window instead. The decode → scatter
+        path is zero-copy (``memoryview`` slices over each response
+        buffer) until the per-fragment ``bytes`` materialise — the
+        only copy, accounted in ``vector.copy_bytes_total``. Fragments
+        past EOF come back short (``b""`` when wholly past it).
+        """
+        reads = [(int(offset), int(length)) for offset, length in reads]
+        if any(length == 0 for _, length in reads):
+            # Zero-length reads answer b"" locally on every path; only
+            # the real reads hit the planner (which rejects empty
+            # fragments) or the engine.
+            kept = [
+                (index, read)
+                for index, read in enumerate(reads)
+                if read[1] > 0
+            ]
+            results: List[bytes] = [b""] * len(reads)
+            if kept:
+                pieces = yield from self.pread_vec(
+                    [read for _, read in kept]
+                )
+                for (index, _), piece in zip(kept, pieces):
+                    results[index] = piece
+            return results
+        max_inflight = self.params.effective_transfer().max_inflight
+        results = yield from self._read(
+            reads,
+            lambda pending: self._engine.read_vec(pending),
+            lambda pending: self._pread_vec_demand(pending, max_inflight),
+        )
+        return results
+
+    def _read(self, reads: List[Tuple[int, int]], from_engine, on_demand):
+        """Effect sub-op: the positional read pipeline of both calls.
+
+        Each step answers what it can of ``reads`` and hands the rest
+        on:
+
+        1. with the page cache armed, every read is probed (a full hit
+           costs no round trip; the probe is the ``cache-lookup``
+           phase);
+        2. with the transfer engine armed, ``from_engine`` offers the
+           rest to the speculative window (a ``None`` piece is a miss);
+        3. with the page cache armed, the misses' page-aligned gaps
+           are fetched into the cache and re-probed, for at most three
+           rounds — an ETag change mid-fill widens the gaps, and a
+           budget smaller than the read stops converging;
+        4. ``on_demand`` fetches whatever is left.
+
+        ``from_engine`` and ``on_demand`` map a list of reads to a list
+        of pieces; they are where ``pread`` and ``pread_vec`` differ.
+        """
+        results: List[Optional[bytes]] = [None] * len(reads)
+        pending = list(range(len(reads)))
+        key = self._cache_key
+        cache = self._pagecache
+        if cache is not None and cache.suppressed(key):
+            cache = None
+        gaps: Dict[int, List[Tuple[int, int]]] = {}
+        if cache is not None:
+            started = self.context.clock()
+            hit_bytes = 0
+            for index, (offset, length) in enumerate(reads):
+                data, missing = cache.lookup(key, offset, length)
+                if data is None:
+                    gaps[index] = missing
+                else:
+                    results[index] = data
+                    hit_bytes += len(data)
+            self.context.metrics.histogram(
+                "request.phase_seconds", phase="cache-lookup"
+            ).observe(self.context.clock() - started)
+            self._charge_delivery(hit_bytes, 0)
+            pending = list(gaps)
+        if pending and self._engine is not None:
+            pieces = yield from from_engine([reads[i] for i in pending])
+            delivered = 0
+            missed: List[int] = []
+            for index, piece in zip(pending, pieces):
+                if piece is None:
+                    missed.append(index)
+                else:
+                    results[index] = piece
+                    delivered += len(piece)
+            self._charge_delivery(0, delivered)
+            pending = missed
+        if pending and cache is not None:
+            # Bytes already resident at probe time stay "page-cache"
+            # even though the read completes after the gap fill.
+            resident = {
+                index: reads[index][1] - sum(n for _, n in gaps[index])
+                for index in pending
+            }
+            spans = merge_spans(
+                span for index in pending for span in gaps[index]
+            )
+            for _ in range(3):
+                if spans:
+                    yield from self._fetch_spans(spans)
+                unresolved: List[int] = []
+                for index in pending:
+                    data = cache.read(key, *reads[index])
+                    if data is None:
+                        unresolved.append(index)
+                        continue
+                    results[index] = data
+                    cached = min(len(data), max(0, resident[index]))
+                    self._charge_delivery(cached, len(data) - cached)
+                pending = unresolved
+                if not pending:
+                    break
+                again = merge_spans(
+                    span
+                    for index in pending
+                    for span in cache.missing_spans(key, *reads[index])
+                )
+                if again == spans:
+                    break  # filling stopped converging: demand the rest
+                spans = again
+        if pending:
+            pieces = yield from on_demand([reads[i] for i in pending])
+            for index, piece in zip(pending, pieces):
+                results[index] = piece
+        return results
 
     # -- byte provenance ----------------------------------------------------
 
@@ -371,327 +484,44 @@ class DavFile:
 
     # -- page-cache plumbing ------------------------------------------------
 
-    def _cache_insert(
-        self, etag: Optional[str], pieces, response: Optional[Response] = None
-    ) -> None:
-        """Feed response bytes into the page cache (no-op when off).
+    def _cache_insert(self, response: Response, pieces, total) -> None:
+        """Feed a decoded reply into the page cache (no-op when off).
 
-        ``pieces`` yields ``(offset, data, total)``; only pages fully
+        ``pieces`` are :class:`~repro.http.RangePart`; only pages fully
         covered by a piece are stored, and a stale ETag invalidates
-        before anything lands (see :meth:`PageCache.insert`). When
-        ``response`` is given its ``Cache-Control`` header becomes the
-        insert's TTL: ``no-store``/``no-cache``/``max-age=0`` keep the
-        bytes out of the cache; ``max-age=N`` bounds their freshness.
+        before anything lands (see :meth:`PageCache.insert`). The
+        reply's ``Cache-Control`` header becomes the insert's TTL:
+        ``no-store``/``no-cache``/``max-age=0`` keep the bytes out of
+        the cache; ``max-age=N`` bounds their freshness. A reply with
+        no pieces still teaches the cache a known ``total`` (a 416's
+        ``bytes */N``).
         """
         cache = self._pagecache
         if cache is None:
             return
-        ttl = _cache_ttl(response) if response is not None else None
-        for offset, data, total in pieces:
+        etag = response.headers.get("ETag")
+        ttl = _cache_ttl(response)
+        if not pieces and total is not None:
+            pieces = [RangePart(offset=0, data=b"", total=total)]
+        for piece in pieces:
             cache.insert(
-                self._cache_key, etag, offset, data, total=total, ttl=ttl
+                self._cache_key, etag, piece.offset, piece.data,
+                total=piece.total, ttl=ttl,
             )
 
-    def _cache_probe(self, offset: int, length: int):
-        """Accounting cache lookup, timed as the ``cache-lookup`` phase."""
-        started = self.context.clock()
-        data, missing = self._pagecache.lookup(
-            self._cache_key, offset, length
-        )
-        self.context.metrics.histogram(
-            "request.phase_seconds", phase="cache-lookup"
-        ).observe(self.context.clock() - started)
-        return data, missing
-
-    def _pread_cached(self, offset: int, length: int):
-        """The cache-fronted positional read: probe, gap-fill, re-probe."""
-        cache = self._pagecache
-        data, missing = self._cache_probe(offset, length)
-        if data is not None:
-            self._charge_delivery(len(data), 0)
-            return data
-        if self._engine is not None:
-            hit = yield from self._engine.read_single(offset, length)
-            if hit is not None:
-                self._charge_delivery(0, len(hit))
-                return hit
-        # Bytes already resident at probe time stay "page-cache" even
-        # though the read completes after the gap fill.
-        resident = length - sum(n for _, n in missing)
-        # Fill only the missing page-aligned spans. The re-probe loop
-        # tolerates an ETag change mid-fill (the insert invalidates,
-        # widening the gaps) but gives up when filling stops making
-        # progress — a budget smaller than the read cannot converge.
-        for _ in range(3):
-            if missing:
-                yield from self._fetch_spans(missing)
-            data = cache.read(self._cache_key, offset, length)
-            if data is not None:
-                cached = min(len(data), max(0, resident))
-                self._charge_delivery(cached, len(data) - cached)
-                return data
-            again = cache.missing_spans(self._cache_key, offset, length)
-            if again == missing:
-                break
-            missing = again
-        data = yield from self._pread_demand(offset, length)
-        return data
-
-    def _fetch_spans(self, spans, parent_span=None):
+    def _fetch_spans(self, spans: List[Tuple[int, int]]):
         """Effect sub-op: fetch ``(offset, length)`` spans into the cache.
 
         The spans (page-aligned gaps from ``missing_spans``) pack into
         coalesced multi-range GETs — at most ``max_vector_ranges`` per
-        request — and every response lands in the page cache under the
-        ETag it arrived with. Returns ``(etag, total)`` as learned
-        from the responses; the caller re-probes the cache for bytes.
+        request — each of which lands in the page cache; the caller
+        re-probes the cache for bytes.
         """
-        etag = None
-        total = None
         max_ranges = max(1, self.params.max_vector_ranges)
         for start in range(0, len(spans), max_ranges):
-            batch = spans[start : start + max_ranges]
-            specs = [
-                RangeSpec.from_offset_length(o, n) for o, n in batch
-            ]
-            request = Request(
-                "GET",
-                self.url.target,
-                Headers([("Range", format_range_header(specs))]),
-            )
-            response, _ = yield from execute_request(
-                self.context, self.url, request, self.params,
-                idempotent=True,
-                parent_span=parent_span,
-            )
-            if response.status == 416:
-                # Past EOF: the unsatisfied Content-Range still
-                # teaches the cache the object's length.
-                total = _content_range_total(response)
-                if total is not None:
-                    self._cache_insert(
-                        response.headers.get("ETag"),
-                        [(0, b"", total)],
-                        response=response,
-                    )
-                continue
-            raise_for_status(response, self.url.path)
-            etag = response.headers.get("ETag")
-            if response.status == 206:
-                content_type = response.content_type
-                if content_type.lower().startswith("multipart/byteranges"):
-                    try:
-                        boundary = content_type_boundary(content_type)
-                        parts = decode_byteranges(
-                            response.body, boundary, copy=False
-                        )
-                    except HttpParseError as exc:
-                        raise RequestError(
-                            f"bad multipart response: {exc}"
-                        ) from exc
-                    for part in parts:
-                        if part.total is not None:
-                            total = part.total
-                    self._cache_insert(
-                        etag,
-                        [(p.offset, p.data, p.total) for p in parts],
-                        response=response,
-                    )
-                else:
-                    content_range = response.headers.get("Content-Range")
-                    if content_range is None:
-                        raise RequestError("206 without Content-Range")
-                    offset, _length, part_total = parse_content_range(
-                        content_range
-                    )
-                    if part_total is not None:
-                        total = part_total
-                    self._cache_insert(
-                        etag,
-                        [(offset, response.body, part_total)],
-                        response=response,
-                    )
-            else:
-                # 200: no range support — the whole object came back.
-                total = len(response.body)
-                self._cache_insert(
-                    etag, [(0, response.body, total)], response=response
-                )
-        return etag, total
+            yield from self._fetch_batch(spans[start : start + max_ranges])
 
-    def _pread_demand(self, offset: int, length: int):
-        """The demanded single-range read (no speculation)."""
-        header = format_range_header(
-            [RangeSpec.from_offset_length(offset, length)]
-        )
-        request = Request(
-            "GET", self.url.target, Headers([("Range", header)])
-        )
-        response, _ = yield from execute_request(
-            self.context, self.url, request, self.params
-        )
-        if response.status == 416:
-            total = _content_range_total(response)
-            if total is not None:
-                self._cache_insert(
-                    response.headers.get("ETag"),
-                    [(0, b"", total)],
-                    response=response,
-                )
-            return b""  # read past EOF: POSIX-style short read
-        raise_for_status(response, self.url.path)
-        if response.status == 206:
-            content_range = response.headers.get("Content-Range")
-            if content_range is not None:
-                try:
-                    body_offset, _n, total = parse_content_range(
-                        content_range
-                    )
-                except HttpParseError:
-                    body_offset, total = offset, None
-                self._cache_insert(
-                    response.headers.get("ETag"),
-                    [(body_offset, response.body, total)],
-                    response=response,
-                )
-            self._charge_delivery(0, len(response.body))
-            return response.body
-        # Server ignored the Range header: slice the full body.
-        self._cache_insert(
-            response.headers.get("ETag"),
-            [(0, response.body, len(response.body))],
-            response=response,
-        )
-        piece = response.body[offset : offset + length]
-        self._charge_delivery(0, len(piece))
-        return piece
-
-    def pread_vec(self, reads: Sequence[Tuple[int, int]]):
-        """Effect sub-op: vectored read -> list of bytes, input order.
-
-        This is the paper's flagship feature: the reads are coalesced
-        and packed into at most ``ceil(n_ranges/max_vector_ranges)``
-        multi-range requests, each answered by one
-        ``multipart/byteranges`` response. With
-        ``transfer.max_inflight > 1`` the batches dispatch
-        concurrently, each on its own pooled session with its own
-        retry/deadline/breaker envelope; partial responses refetch only
-        their ``missing_ranges``. With the transfer engine armed
-        (``transfer.read_ahead`` / :meth:`prefetch`) the reads route
-        through the speculative window instead. The decode → scatter
-        path is zero-copy (``memoryview`` slices over each response
-        buffer) until the per-fragment ``bytes`` materialise — the
-        only copy, accounted in ``vector.copy_bytes_total``.
-        """
-        reads = [(int(offset), int(length)) for offset, length in reads]
-        if any(length == 0 for _, length in reads):
-            # Zero-length reads answer b"" locally on every path; only
-            # the real reads hit the planner (which rejects empty
-            # fragments) or the engine.
-            kept = [
-                (index, read)
-                for index, read in enumerate(reads)
-                if read[1] > 0
-            ]
-            results: List[bytes] = [b""] * len(reads)
-            if kept:
-                pieces = yield from self.pread_vec(
-                    [read for _, read in kept]
-                )
-                for (index, _), piece in zip(kept, pieces):
-                    results[index] = piece
-            return results
-        transfer = self.params.effective_transfer()
-        if self._pagecache is not None and not self._pagecache.suppressed(
-            self._cache_key
-        ):
-            results = yield from self._pread_vec_cached(reads, transfer)
-            return results
-        if self._engine is not None:
-            results = yield from self._engine.read_vec(reads)
-            self._charge_delivery(0, sum(len(r) for r in results))
-            return results
-        results = yield from self._pread_vec_demand(
-            reads, transfer.max_inflight
-        )
-        return results
-
-    def _pread_vec_cached(self, reads: Sequence[Tuple[int, int]], transfer):
-        """The cache-fronted vectored read.
-
-        Each fragment is probed individually (per-fragment hit/miss
-        accounting); the misses' missing spans merge into one gap list
-        fetched as coalesced multi-range requests — or, with the
-        engine armed, the misses route through the speculative window
-        unchanged.
-        """
-        cache = self._pagecache
-        key = self._cache_key
-        reads = [(int(offset), int(length)) for offset, length in reads]
-        results: List[Optional[bytes]] = [None] * len(reads)
-        started = self.context.clock()
-        pending: List[int] = []
-        spans: List[Tuple[int, int]] = []
-        resident: Dict[int, int] = {}
-        for index, (offset, length) in enumerate(reads):
-            if length == 0:
-                results[index] = b""
-                continue
-            data, missing = cache.lookup(key, offset, length)
-            if data is not None:
-                results[index] = data
-                self._charge_delivery(len(data), 0)
-            else:
-                pending.append(index)
-                spans.extend(missing)
-                resident[index] = length - sum(n for _, n in missing)
-        self.context.metrics.histogram(
-            "request.phase_seconds", phase="cache-lookup"
-        ).observe(self.context.clock() - started)
-        if not pending:
-            return results
-        if self._engine is not None:
-            pieces = yield from self._engine.read_vec(
-                [reads[index] for index in pending]
-            )
-            for index, piece in zip(pending, pieces):
-                results[index] = piece
-                self._charge_delivery(0, len(piece))
-            return results
-        spans = _merge_spans(spans)
-        for _ in range(3):
-            if spans:
-                yield from self._fetch_spans(spans)
-            unresolved: List[int] = []
-            for index in pending:
-                data = cache.read(key, *reads[index])
-                if data is not None:
-                    results[index] = data
-                    cached = min(
-                        len(data), max(0, resident.get(index, 0))
-                    )
-                    self._charge_delivery(cached, len(data) - cached)
-                else:
-                    unresolved.append(index)
-            pending = unresolved
-            if not pending:
-                return results
-            again = _merge_spans(
-                [
-                    span
-                    for index in pending
-                    for span in cache.missing_spans(key, *reads[index])
-                ]
-            )
-            if again == spans:
-                break  # filling stopped converging: demand the rest
-            spans = again
-        pieces = yield from self._pread_vec_demand(
-            [reads[index] for index in pending], transfer.max_inflight
-        )
-        for index, piece in zip(pending, pieces):
-            results[index] = piece
-        return results
+    # -- vectored I/O -------------------------------------------------------
 
     def _pread_vec_demand(
         self, reads: Sequence[Tuple[int, int]], max_inflight: int = 1
@@ -792,13 +622,16 @@ class DavFile:
         return scattered
 
     def _fetch_batch_covered(self, batch, parent_span=None, stream=False):
-        """Fetch one batch, re-requesting any ranges the response left
-        uncovered (a reset mid-multipart-body, a server honouring only
-        some ranges). Multi-range GETs are idempotent, so the refetch
-        is always retry-safe; rounds are bounded by the retry policy's
-        attempt budget.
+        """Fetch one batch of :class:`CoalescedRange`, re-requesting any
+        ranges the response left uncovered (a reset
+        mid-multipart-body, a server honouring only some ranges).
+        Multi-range GETs are idempotent, so the refetch is always
+        retry-safe; rounds are bounded by the retry policy's attempt
+        budget.
         """
-        parts = yield from self._fetch_batch(batch, parent_span, stream)
+        parts = yield from self._fetch_batch(
+            [(rng.offset, rng.length) for rng in batch], parent_span, stream
+        )
         rounds = self.params.effective_retry_policy().max_attempts - 1
         missing = missing_ranges(batch, parts)
         while missing and rounds > 0:
@@ -809,15 +642,28 @@ class DavFile:
             self.context.metrics.counter(
                 "vector.refetch_ranges_total"
             ).inc(len(missing))
-            more = yield from self._fetch_batch(missing, parent_span, stream)
+            more = yield from self._fetch_batch(
+                [(rng.offset, rng.length) for rng in missing],
+                parent_span,
+                stream,
+            )
             parts.merge(more)
             missing = missing_ranges(batch, parts)
         # Still-missing ranges surface through scatter_parts, which
         # raises the caller-facing RequestError.
         return parts
 
-    def _fetch_batch(self, batch, parent_span=None, stream=False):
-        """One multi-range request -> :class:`PartTable` of views.
+    def _fetch_batch(self, spans, parent_span=None, stream=False):
+        """Effect sub-op: one ranged GET -> :class:`PartTable` of views.
+
+        The only step that sends a ranged GET: engine speculation,
+        vectored batches, the page-cache gap fill and ``pread``'s
+        demand read all go through it. ``spans`` are ``(offset,
+        length)`` pairs. The reply decodes through
+        :func:`~repro.http.decode_range_response` and lands in the page
+        cache; a 416 decodes to an empty table whose ``total`` clips
+        every read past EOF to ``b""``. A malformed reply raises
+        :class:`~repro.errors.RequestError`.
 
         With ``stream=True`` a multipart body decodes incrementally as
         chunks arrive (:class:`~repro.http.multipart.MultipartStream`
@@ -825,10 +671,7 @@ class DavFile:
         — the engine's speculative path. Each retry attempt gets a
         fresh decoder; non-multipart responses fall back to buffering.
         """
-        specs = [
-            RangeSpec.from_offset_length(rng.offset, rng.length)
-            for rng in batch
-        ]
+        specs = [RangeSpec.from_offset_length(o, n) for o, n in spans]
         headers = Headers([("Range", format_range_header(specs))])
         request = Request("GET", self.url.target, headers)
 
@@ -836,13 +679,11 @@ class DavFile:
         sink_factory = None
         if stream:
             def sink_factory(head: Response):
-                content_type = head.content_type
-                if head.status != 206 or not content_type.lower().startswith(
-                    "multipart/byteranges"
-                ):
+                streamed["decoder"] = None
+                if not is_byteranges(head):
                     return None
                 try:
-                    boundary = content_type_boundary(content_type)
+                    boundary = content_type_boundary(head.content_type)
                 except HttpParseError:
                     return None  # buffered decode reports the error
                 decoder = MultipartStream(boundary)
@@ -864,69 +705,33 @@ class DavFile:
             idempotent=True,
             parent_span=parent_span,
         )
-        raise_for_status(response, self.url.path)
+        if response.status != 416:
+            raise_for_status(response, self.url.path)
 
-        if response.status == 206:
-            content_type = response.content_type
-            if content_type.lower().startswith("multipart/byteranges"):
-                if streamed.get("decoder") is not None and not response.body:
-                    try:
-                        parts = streamed["decoder"].close()
-                    except HttpParseError as exc:
-                        raise RequestError(
-                            f"bad multipart response: {exc}"
-                        ) from exc
-                    decode_seconds = streamed["seconds"]
-                else:
-                    decode_started = self.context.clock()
-                    try:
-                        boundary = content_type_boundary(content_type)
-                        parts = decode_byteranges(
-                            response.body, boundary, copy=False
-                        )
-                    except HttpParseError as exc:
-                        raise RequestError(
-                            f"bad multipart response: {exc}"
-                        ) from exc
-                    decode_seconds = self.context.clock() - decode_started
-                self.context.metrics.histogram(
-                    "request.phase_seconds", phase="multipart-decode"
-                ).observe(decode_seconds)
-                if parent_span is not None:
-                    parent_span.set(multipart_decode=decode_seconds)
-                self._cache_insert(
-                    response.headers.get("ETag"),
-                    [(part.offset, part.data, part.total) for part in parts],
-                    response=response,
-                )
-                totals = [
-                    part.total for part in parts if part.total is not None
-                ]
-                return PartTable.from_parts(
-                    ((part.offset, part.data) for part in parts),
-                    total=totals[0] if totals else None,
-                )
-            content_range = response.headers.get("Content-Range")
-            if content_range is None:
-                raise RequestError("206 without Content-Range")
-            offset, _length, total = parse_content_range(content_range)
-            self._cache_insert(
-                response.headers.get("ETag"),
-                [(offset, response.body, total)],
-                response=response,
+        decoder = streamed.get("decoder")
+        decode_started = self.context.clock()
+        try:
+            if decoder is not None:
+                pieces = decoder.close()
+                total = pieces[0].total if pieces else None
+            else:
+                pieces, total = decode_range_response(response)
+        except HttpError as exc:
+            raise RequestError(f"bad range response: {exc}") from exc
+        if decoder is not None or is_byteranges(response):
+            decode_seconds = (
+                streamed["seconds"]
+                if decoder is not None
+                else self.context.clock() - decode_started
             )
-            return PartTable.from_parts(
-                [(offset, response.body)], total=total
-            )
-        # 200: the server does not support (multi-)ranges — the whole
-        # object came back; slice everything from it.
-        self._cache_insert(
-            response.headers.get("ETag"),
-            [(0, response.body, len(response.body))],
-            response=response,
-        )
+            self.context.metrics.histogram(
+                "request.phase_seconds", phase="multipart-decode"
+            ).observe(decode_seconds)
+            if parent_span is not None:
+                parent_span.set(multipart_decode=decode_seconds)
+        self._cache_insert(response, pieces, total)
         return PartTable.from_parts(
-            [(0, response.body)], total=len(response.body)
+            ((piece.offset, piece.data) for piece in pieces), total=total
         )
 
     # -- metalink -----------------------------------------------------------------

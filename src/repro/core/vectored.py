@@ -322,11 +322,3 @@ def missing_ranges(
         if not table.covers(rng.offset, rng.length)
     ]
 
-
-def _find_part(parts: Parts, offset: int, length: int) -> bytes:
-    """The bytes of [offset, offset+length) from the returned parts.
-
-    Compatibility wrapper over :meth:`PartTable.find`; prefer building
-    one table per batch so lookups share the sorted index.
-    """
-    return bytes(_as_table(parts).find(offset, length))

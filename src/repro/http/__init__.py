@@ -15,6 +15,7 @@ from repro.http.messages import Request, Response
 from repro.http.multipart import (
     RangePart,
     decode_byteranges,
+    decode_range_response,
     encode_byteranges,
     make_boundary,
 )
@@ -22,6 +23,7 @@ from repro.http.ranges import (
     RangeSpec,
     format_content_range,
     format_range_header,
+    merge_spans,
     parse_content_range,
     parse_range_header,
     resolve_ranges,
@@ -43,11 +45,13 @@ __all__ = [
     "Response",
     "RangePart",
     "decode_byteranges",
+    "decode_range_response",
     "encode_byteranges",
     "make_boundary",
     "RangeSpec",
     "format_content_range",
     "format_range_header",
+    "merge_spans",
     "parse_content_range",
     "parse_range_header",
     "resolve_ranges",

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import secrets
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import HttpParseError
+from repro.errors import HttpParseError, HttpProtocolError
 from repro.http.headers import Headers
+from repro.http.messages import Response
 from repro.http.ranges import format_content_range, parse_content_range
 
 __all__ = [
@@ -23,6 +24,8 @@ __all__ = [
     "encode_byteranges",
     "decode_byteranges",
     "content_type_boundary",
+    "is_byteranges",
+    "decode_range_response",
 ]
 
 _CRLF = b"\r\n"
@@ -93,6 +96,8 @@ def content_type_boundary(content_type: str) -> str:
                 value = value[1:-1]
             if not value:
                 break
+            if not value.isascii():
+                raise HttpParseError(f"non-ASCII boundary: {value!r}")
             return value
     raise HttpParseError(f"no boundary in content type: {content_type!r}")
 
@@ -160,6 +165,71 @@ def decode_byteranges(
             raise HttpParseError("part data not followed by CRLF")
         cursor += 2
         parts.append(RangePart(offset=offset, data=data, total=total))
+
+
+def is_byteranges(response: Response) -> bool:
+    """Is ``response`` a ``206`` with a ``multipart/byteranges`` body?"""
+    return response.status == 206 and (
+        response.content_type.lower().startswith("multipart/byteranges")
+    )
+
+
+def decode_range_response(
+    response: Response,
+) -> Tuple[List[RangePart], Optional[int]]:
+    """Decode the reply to a ranged GET into ``(pieces, total)``.
+
+    ``pieces`` are the :class:`RangePart` (``offset``, ``data``,
+    ``total``) the reply carries; ``total`` is the object size it
+    reveals, ``None`` when it does not (``Content-Range: bytes a-b/*``).
+
+    * ``206 multipart/byteranges``: one piece per part, each a
+      zero-copy ``memoryview`` over the body (:func:`decode_byteranges`);
+    * ``206`` single range: the body, placed by its ``Content-Range``;
+    * ``200``: the server ignored ``Range``, so the body is the whole
+      object at offset 0;
+    * ``416``: no pieces, and ``Content-Range: bytes */N`` gives the
+      size, so a read past EOF resolves to a short (empty) read.
+
+    Raises :class:`HttpParseError` for any other status and for any
+    malformed reply: a missing or unparsable ``Content-Range``, a body
+    whose length disagrees with it, or a bad multipart body.
+    """
+    status = response.status
+    body = response.body
+    if status == 200:
+        return [RangePart(offset=0, data=body, total=len(body))], len(body)
+    try:
+        if is_byteranges(response):
+            parts = decode_byteranges(
+                body, content_type_boundary(response.content_type),
+                copy=False,
+            )
+            return parts, parts[0].total if parts else None
+        if status not in (206, 416):
+            raise HttpParseError(f"not a range response: HTTP {status}")
+        content_range = response.headers.get("Content-Range")
+        if content_range is None:
+            raise HttpParseError(f"{status} without Content-Range")
+        if status == 416:
+            return [], _unsatisfied_total(content_range)
+        offset, length, total = parse_content_range(content_range)
+    except HttpProtocolError as exc:
+        raise HttpParseError(str(exc)) from exc
+    if length != len(body):
+        raise HttpParseError(
+            f"Content-Range {content_range!r} labels a "
+            f"{len(body)}-byte body"
+        )
+    return [RangePart(offset=offset, data=body, total=total)], total
+
+
+def _unsatisfied_total(value: str) -> int:
+    """The ``N`` of a 416's ``Content-Range: bytes */N``."""
+    unit, sep, total = value.strip().partition(" */")
+    if unit == "bytes" and sep and total.isascii() and total.isdigit():
+        return int(total)
+    raise HttpParseError(f"bad unsatisfied Content-Range: {value!r}")
 
 
 class MultipartStream:

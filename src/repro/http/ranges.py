@@ -13,7 +13,7 @@ first/last positions, either possibly open); a *resolved* range is an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import HttpProtocolError
 
@@ -24,6 +24,7 @@ __all__ = [
     "resolve_ranges",
     "parse_content_range",
     "format_content_range",
+    "merge_spans",
 ]
 
 
@@ -136,6 +137,18 @@ def resolve_ranges(
         if pair is not None:
             resolved.append(pair)
     return resolved
+
+
+def merge_spans(spans: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Sort and merge overlapping/adjacent ``(offset, length)`` spans."""
+    merged: List[Tuple[int, int]] = []
+    for offset, length in sorted(spans):
+        if merged and offset <= merged[-1][0] + merged[-1][1]:
+            end = max(merged[-1][0] + merged[-1][1], offset + length)
+            merged[-1] = (merged[-1][0], end - merged[-1][0])
+        else:
+            merged.append((offset, length))
+    return merged
 
 
 def format_content_range(offset: int, length: int, total: int) -> str:

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import HttpParseError, HttpProtocolError
 from repro.http import Headers, Request, Response, Url
-from repro.http.ranges import parse_content_range
+from repro.http.ranges import merge_spans, parse_content_range
 from repro.metalink import (
     METALINK_MEDIA_TYPE,
     Metalink,
@@ -126,14 +126,7 @@ class _PartialUpload:
 
     def write(self, offset: int, data: bytes) -> None:
         self.buffer[offset:offset + len(data)] = data
-        merged: List[Tuple[int, int]] = []
-        for start, length in sorted(self.spans + [(offset, len(data))]):
-            if merged and start <= merged[-1][0] + merged[-1][1]:
-                end = max(merged[-1][0] + merged[-1][1], start + length)
-                merged[-1] = (merged[-1][0], end - merged[-1][0])
-            else:
-                merged.append((start, length))
-        self.spans = merged
+        self.spans = merge_spans(self.spans + [(offset, len(data))])
 
     @property
     def complete(self) -> bool:

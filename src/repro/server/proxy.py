@@ -41,18 +41,19 @@ from repro.http import (
     Request,
     Response,
     Url,
+    decode_range_response,
     encode_byteranges,
     make_boundary,
+    merge_spans,
     parse_cache_control,
     parse_range_header,
     resolve_ranges,
 )
-from repro.http.multipart import content_type_boundary, decode_byteranges
+from repro.http.multipart import is_byteranges
 from repro.http.ranges import (
     RangeSpec,
     format_content_range,
     format_range_header,
-    parse_content_range,
 )
 from repro.obs.propagation import (
     TRACEPARENT_HEADER,
@@ -89,17 +90,6 @@ class _ObjectMeta:
         self.last_modified: Optional[str] = None
         #: Served without revalidation until this (runtime) time.
         self.fresh_until = 0.0
-
-
-def _merge_spans(spans: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    merged: List[Tuple[int, int]] = []
-    for offset, length in sorted(spans):
-        if merged and offset <= merged[-1][0] + merged[-1][1]:
-            end = max(merged[-1][0] + merged[-1][1], offset + length)
-            merged[-1] = (merged[-1][0], end - merged[-1][0])
-        else:
-            merged.append((offset, length))
-    return merged
 
 
 class ProxyApp:
@@ -356,7 +346,7 @@ class ProxyApp:
             missing: List[Tuple[int, int]] = []
             for offset, length in need:
                 missing.extend(self.pages.missing_spans(url, offset, length))
-            missing = _merge_spans(missing)
+            missing = merge_spans(missing)
             fresh = now < meta.fresh_until
 
             if not missing and (fresh or outcome is not None):
@@ -591,45 +581,16 @@ class ProxyApp:
             return False
         etag = response.headers.get("ETag")
         meta = self._meta.setdefault(url, _ObjectMeta())
-        if response.status == 200:
-            self.pages.insert(
-                url, etag, 0, response.body, total=len(response.body)
-            )
-            content_type = response.headers.get("Content-Type")
-            if content_type:
-                meta.content_type = content_type
-        elif response.status == 206:
-            content_type = response.content_type
-            if content_type.lower().startswith("multipart/byteranges"):
-                try:
-                    parts = decode_byteranges(
-                        response.body,
-                        content_type_boundary(content_type),
-                        copy=False,
-                    )
-                except (HttpParseError, HttpProtocolError):
-                    return False
-                for part in parts:
-                    self.pages.insert(
-                        url, etag, part.offset, part.data, total=part.total
-                    )
-            else:
-                content_range = response.headers.get("Content-Range")
-                if content_range is None:
-                    return False
-                try:
-                    offset, _length, total = parse_content_range(
-                        content_range
-                    )
-                except (HttpParseError, HttpProtocolError):
-                    return False
-                self.pages.insert(
-                    url, etag, offset, response.body, total=total
-                )
-                if content_type:
-                    meta.content_type = content_type
-        else:
+        try:
+            pieces, _ = decode_range_response(response)
+        except HttpParseError:
             return False
+        for piece in pieces:
+            self.pages.insert(
+                url, etag, piece.offset, piece.data, total=piece.total
+            )
+        if response.content_type and not is_byteranges(response):
+            meta.content_type = response.content_type
         last_modified = response.headers.get("Last-Modified")
         if last_modified:
             meta.last_modified = last_modified
@@ -675,7 +636,7 @@ class ProxyApp:
             start = (spec.first // page) * page
             end = (spec.last // page + 1) * page
             spans.append((start, end - start))
-        return _merge_spans(spans)
+        return merge_spans(spans)
 
     def _requested_ranges(self, request: Request, etag: Optional[str]):
         """The client's Range specs, with If-Range applied.

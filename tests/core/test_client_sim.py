@@ -66,6 +66,7 @@ def test_pread():
     assert client.pread("http://server/x", 2, 4) == b"2345"
     assert client.pread("http://server/x", 8, 10) == b"89"
     assert client.pread("http://server/x", 100, 5) == b""  # past EOF
+    assert client.pread_vec("http://server/x", [(100, 5)]) == [b""]
     assert client.pread("http://server/x", 0, 0) == b""
 
 

@@ -297,3 +297,43 @@ def test_engine_on_thread_runtime_against_live_server():
         )
     assert result == [BLOB[o : o + n] for o, n in reads]
     assert client.metrics().value("engine.hits_total") == len(reads)
+
+
+def test_page_cache_and_engine_armed_together():
+    # Warm the first half of the planned span into the page cache, then
+    # read the whole plan through an engine-armed file: the cached
+    # segments are served locally and never launched speculatively.
+    transfer = TransferConfig(
+        max_inflight=4,
+        read_ahead=True,
+        page_cache_bytes=1 << 20,
+        page_size=4096,
+    )
+    client, _ = engine_world(transfer=transfer)
+    plan = segments_spread(32)
+    warm_end = 16 * 8192
+
+    def warm(file):
+        data = yield from file.pread(0, warm_end)
+        return data
+
+    warmed, _ = run_file_op(client, warm, read_ahead=False)
+    assert warmed == BLOB[:warm_end]
+
+    def op(file):
+        file.prefetch(plan)
+        out = []
+        for offset, length in plan[:20]:
+            data = yield from file.pread(offset, length)
+            out.append(data)
+        rest = yield from file.pread_vec(plan[20:])
+        return out + rest
+
+    result, file = run_file_op(client, op)
+    assert result == [BLOB[o : o + n] for o, n in plan]
+    skipped = client.metrics().value("engine.cache_skipped_segments_total")
+    assert skipped and skipped > 0
+    assert file.engine.launched_ranges
+    assert all(
+        offset >= warm_end for offset, _ in file.engine.launched_ranges
+    )

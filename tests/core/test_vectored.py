@@ -191,14 +191,6 @@ def test_missing_ranges_with_table():
     assert missing_ranges(plan.batches[0], table) == []
 
 
-def test_find_part_compat_wrapper():
-    from repro.core.vectored import _find_part
-
-    assert _find_part({0: b"0123456789"}, 2, 4) == b"2345"
-    with pytest.raises(RequestError):
-        _find_part({0: b"0123"}, 2, 4)
-
-
 @given(
     st.lists(
         st.tuples(
@@ -274,10 +266,15 @@ def test_plan_covers_every_fragment(reads, max_ranges, gap):
         assert rng.end == high
 
 
+#: The simulated server's object, built once: rebuilding it per example
+#: cost a large share of Hypothesis's per-example deadline.
+SCATTER_CONTENT = bytes(i % 251 for i in range(1_010_000))
+
+
 @given(reads_strategy, st.integers(min_value=0, max_value=2048))
 def test_scatter_recovers_fragment_bytes(reads, gap):
-    # Simulate a server: build content, answer each range exactly.
-    content = bytes(i % 251 for i in range(1_010_000))
+    # Simulate a server: answer each range exactly.
+    content = SCATTER_CONTENT
     plan = plan_vector(reads, max_ranges=64, gap=gap)
     out = {}
     for batch in plan.batches:

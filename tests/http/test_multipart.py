@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from repro.errors import HttpParseError
 from repro.http import (
+    Headers,
     RangePart,
+    Response,
     decode_byteranges,
+    decode_range_response,
     encode_byteranges,
     make_boundary,
 )
@@ -151,3 +154,81 @@ def test_roundtrip_property(raw_parts):
     assert decode_byteranges(encode_byteranges(parts, boundary), boundary) == (
         parts
     )
+
+
+# -- decode_range_response ---------------------------------------------------
+
+
+def ranged(status, body=b"", **headers):
+    return Response(
+        status,
+        Headers([(k.replace("_", "-"), v) for k, v in headers.items()]),
+        body,
+    )
+
+
+def test_decode_range_response_200_is_the_whole_object():
+    pieces, total = decode_range_response(ranged(200, b"abcdef"))
+    assert pieces == [RangePart(offset=0, data=b"abcdef", total=6)]
+    assert total == 6
+
+
+def test_decode_range_response_single_range():
+    reply = ranged(206, b"cde", Content_Range="bytes 2-4/6")
+    pieces, total = decode_range_response(reply)
+    assert pieces == [RangePart(offset=2, data=b"cde", total=6)]
+    assert total == 6
+    reply = ranged(206, b"cde", Content_Range="bytes 2-4/*")
+    assert decode_range_response(reply)[1] is None
+
+
+def test_decode_range_response_multipart_is_zero_copy():
+    parts = [
+        RangePart(offset=0, data=b"ab", total=50),
+        RangePart(offset=40, data=b"yz", total=50),
+    ]
+    body = encode_byteranges(parts, "B")
+    reply = ranged(
+        206, body, Content_Type="multipart/byteranges; boundary=B"
+    )
+    pieces, total = decode_range_response(reply)
+    assert [(p.offset, bytes(p.data), p.total) for p in pieces] == [
+        (0, b"ab", 50),
+        (40, b"yz", 50),
+    ]
+    assert all(isinstance(p.data, memoryview) for p in pieces)
+    assert total == 50
+
+
+def test_decode_range_response_416_has_no_pieces_and_the_size():
+    reply = ranged(416, Content_Range="bytes */123")
+    assert decode_range_response(reply) == ([], 123)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        ranged(206, b"abc"),
+        ranged(206, b"abc", Content_Range="bytes 0-2"),
+        ranged(206, b"abc", Content_Range="bytes a-c/9"),
+        ranged(206, b"abc", Content_Range="bytes 0-3/9"),
+        ranged(206, b"abc", Content_Range="items 0-2/9"),
+        ranged(416),
+        ranged(416, Content_Range="bytes */x"),
+        ranged(416, Content_Range="bytes */-1"),
+        ranged(416, Content_Range="bytes 0-1/9"),
+        ranged(404, b"missing"),
+        ranged(206, b"junk", Content_Type="multipart/byteranges"),
+        ranged(
+            206, b"junk", Content_Type="multipart/byteranges; boundary=\xe9"
+        ),
+        ranged(
+            206,
+            b"--B\r\nContent-Range: bytes x-1/9\r\n\r\nab\r\n--B--\r\n",
+            Content_Type="multipart/byteranges; boundary=B",
+        ),
+    ],
+)
+def test_decode_range_response_rejects_malformed_replies(reply):
+    with pytest.raises(HttpParseError):
+        decode_range_response(reply)
